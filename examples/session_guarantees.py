@@ -14,14 +14,16 @@ Run with::
 """
 
 from repro.hat import Operation, Scenario, Transaction, build_testbed
-from repro.hat.sessions import SessionClient
+from repro.replication.antientropy import AntiEntropyConfig
 
 
 def profile_update_scenario(sticky):
     testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2))
     home = testbed.config.cluster_names[0]
-    base = testbed.make_client("read-committed", home_cluster=home)
-    session = SessionClient(base, sticky=sticky)
+    # Read Committed plus the read-your-writes session layer; a non-sticky
+    # client records stale reads instead of repairing them.
+    session = testbed.make_client("read-committed+ryw", home_cluster=home,
+                                  sticky=sticky)
 
     # The user updates their profile in the home datacenter.
     write = testbed.env.run_until_complete(session.execute(
@@ -52,8 +54,9 @@ def composite_causal_scenario():
     the reply lands (WFR + MW), so a reader in the other region never sees
     the reply without its causes.
     """
-    testbed = build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                     anti_entropy_interval_ms=60_000.0))
+    testbed = build_testbed(Scenario(
+        regions=["VA", "OR"], servers_per_cluster=2,
+        anti_entropy=AntiEntropyConfig(interval_ms=60_000.0)))
     home, away = testbed.config.cluster_names
     friend = testbed.make_client("eventual", home_cluster=home)
     user = testbed.make_client("causal", home_cluster=home)
@@ -90,7 +93,7 @@ def main():
         value, session = profile_update_scenario(sticky)
         label = "sticky session  " if sticky else "non-sticky      "
         print(f"{label}: read profile = {value!r:14}  "
-              f"(cache hits: {session.state.cache_hits}, "
+              f"(cache hits: {session.session.cache_hits}, "
               f"unrepaired stale reads: {session.violations()})")
 
     print("\nThe sticky session serves the user's own write from its session")

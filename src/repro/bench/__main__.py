@@ -173,42 +173,6 @@ def _tpcc_sim(quick: bool, jobs=None):
     return text, payload
 
 
-def _perf(quick: bool, jobs=None):
-    """Wall-clock perf artifact: how fast the simulator itself runs.
-
-    The canonical matrix always runs sequentially — wall-clock numbers are
-    meaningless when cases compete for cores.  ``--jobs`` instead selects
-    the worker count for the *scaling* measurement appended afterwards: the
-    same runs sequentially versus through the sweep executor's process
-    pool, reporting the measured speedup and per-worker wall time.
-    """
-    from repro.bench.perf import (
-        format_metrics_overhead,
-        format_perf,
-        format_speedup,
-        format_tracing_overhead,
-        measure_metrics_overhead,
-        measure_parallel_speedup,
-        measure_tracing_overhead,
-        perf_report_json,
-        run_perf_matrix,
-    )
-
-    results = run_perf_matrix(quick=quick)
-    speedup = measure_parallel_speedup(
-        jobs=jobs, duration_ms=200.0 if quick else 600.0)
-    overhead = measure_tracing_overhead(
-        duration_ms=300.0 if quick else 800.0)
-    metrics_overhead = measure_metrics_overhead(
-        duration_ms=300.0 if quick else 800.0)
-    return (format_perf(results) + "\n\n" + format_speedup(speedup)
-            + "\n" + format_tracing_overhead(overhead)
-            + "\n" + format_metrics_overhead(metrics_overhead),
-            perf_report_json(results, speedup=speedup,
-                             tracing_overhead=overhead,
-                             metrics_overhead=metrics_overhead))
-
-
 def _availability(quick: bool, jobs=None):
     """Timeline artifact: HAT stacks serving through a region partition."""
     results = availability_experiment(
@@ -353,7 +317,6 @@ ARTIFACTS: Dict[str, Callable[[bool], object]] = {
     "saturation": _saturation,
     "staleness": _staleness,
     "metastability": _metastability,
-    "perf": _perf,
     "trace": _trace,
 }
 
@@ -378,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write <DIR>/<artifact>.json for artifacts "
                              "with a JSON form (currently: availability, "
                              "elasticity, saturation, staleness, "
-                             "metastability, tpcc-sim, perf, trace)")
+                             "metastability, tpcc-sim, trace)")
     return parser
 
 

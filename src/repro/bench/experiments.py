@@ -120,8 +120,8 @@ TRACE_PROTOCOLS = (EVENTUAL, "causal", MASTER, "lock-sr")
 #: wedges behind a reply the partition dropped — with the default 10 s
 #: deadline a client mid-RPC at partition onset would stay dark for the
 #: entire campaign.  The 2PL client waits on its own lock deadline, so
-#: lock protocols get the same bound (``client_kwargs`` applies it only
-#: to them).  One policy object replaces the per-experiment kwargs dicts.
+#: lock protocols get the same bound (``RetryPolicy.client_kwargs`` applies
+#: it only to them).
 CHAOS_RETRY = RetryPolicy(rpc_timeout_ms=2_000.0, lock_timeout_ms=2_000.0)
 
 
@@ -676,7 +676,7 @@ def _elasticity_protocol_run(
                         servers_per_cluster=servers_per_cluster,
                         seed=seed, placement="ring",
                         virtual_nodes=virtual_nodes,
-                        anti_entropy_max_per_round=32)
+                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32))
     testbed = build_testbed(scenario)
     campaign = canonical_elasticity_campaign(
         list(regions), cluster=testbed.config.cluster_names[0],
@@ -807,7 +807,7 @@ def _staleness_protocol_run(
                         servers_per_cluster=servers_per_cluster,
                         seed=seed, placement="ring",
                         virtual_nodes=virtual_nodes,
-                        anti_entropy_max_per_round=32,
+                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32),
                         metrics=True, metrics_window_ms=window_ms)
     testbed = build_testbed(scenario)
     campaign = canonical_staleness_campaign(
@@ -1473,7 +1473,7 @@ def _trace_stack_run(
     tracer = testbed.tracer
     nemesis = None
     run_duration = duration_ms
-    retry: Optional[RetryPolicy] = None
+    retry = RetryPolicy()
     if partition:
         campaign = canonical_partition_campaign(
             list(regions), baseline_ms=baseline_ms,

@@ -4,7 +4,7 @@ An artifact file that outlives its run is only evidence if it says what
 produced it: which commit, which parameterisation, which schema.  The
 bench CLI injects this header under the ``"provenance"`` key of every
 JSON payload it writes (availability, tpcc-sim, elasticity, saturation,
-perf, trace), so a downloaded CI artifact can always be traced back to
+staleness, metastability, trace), so a downloaded CI artifact can always be traced back to
 the exact tree and knobs that generated it.
 
 The header is injected *centrally* by :mod:`repro.bench.__main__` — the

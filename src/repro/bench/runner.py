@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.bench.metrics import RunStats, summarize_run
 from repro.hat.testbed import Scenario, Testbed, build_testbed
@@ -42,12 +42,6 @@ GRACE_RTT_MULTIPLE = 10.0
 #: Floor on the default grace period (the historical fixed value), so small
 #: deployments keep their previous timing.
 MIN_GRACE_PERIOD_MS = 2_000.0
-#: Back-off before retrying after an abort that consumed no simulated time.
-#: Under a partition the unavailable protocols fail fast (the master check is
-#: a local routing-table lookup), and a zero-delay retry loop would freeze
-#: the simulated clock; any abort that *did* take time already paid its
-#: pacing (lock timeouts, RPC deadlines) and retries immediately as before.
-ZERO_TIME_ABORT_BACKOFF_MS = 25.0
 
 
 @dataclass
@@ -69,33 +63,10 @@ class RunConfig:
     #: ``MIN_GRACE_PERIOD_MS``), because a fixed grace period silently
     #: truncates transactions in high-latency geo deployments.
     grace_period_ms: Optional[float] = None
-    #: Retry back-off after an abort that consumed no simulated time (see
-    #: ``ZERO_TIME_ABORT_BACKOFF_MS``); only chaos runs ever hit it.
-    #: Superseded by :attr:`retry` when one is set.
-    abort_backoff_ms: float = ZERO_TIME_ABORT_BACKOFF_MS
-    #: Extra keyword arguments for every client the run constructs (e.g.
-    #: ``{"rpc_timeout_ms": 2_000.0}`` so chaos runs bound how long a
-    #: client wedges behind a reply the partition dropped).  Prefer
-    #: :attr:`retry` for timeout knobs; explicit entries here still win.
-    client_kwargs: Dict[str, Any] = field(default_factory=dict)
-    #: One documented home for the run's timeout/backoff discipline (RPC
-    #: deadline, per-protocol lock deadline, zero-time-abort pacing) —
-    #: see :class:`repro.overload.retry.RetryPolicy`.  ``None`` keeps the
-    #: legacy knobs above.
-    retry: Optional[RetryPolicy] = None
-
-    def effective_client_kwargs(self) -> Dict[str, Any]:
-        """Client kwargs with the retry policy's deadlines folded in."""
-        if self.retry is None:
-            return self.client_kwargs
-        merged = self.retry.client_kwargs(self.protocol)
-        merged.update(self.client_kwargs)
-        return merged
-
-    def effective_abort_backoff_ms(self) -> float:
-        if self.retry is None:
-            return self.abort_backoff_ms
-        return self.retry.abort_backoff_ms
+    #: The run's timeout/backoff discipline: RPC deadline, per-protocol
+    #: lock deadline, and the pacing after an abort that consumed no
+    #: simulated time — see :class:`repro.overload.retry.RetryPolicy`.
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     @property
     def total_clients(self) -> int:
@@ -157,8 +128,8 @@ def _run_workload_inner(config: RunConfig, testbed: Testbed, env,
         # with the warmup-excluding aggregate stats.
         telemetry.start_run(start_ms + config.warmup_ms, end_ms)
 
-    abort_backoff_ms = config.effective_abort_backoff_ms()
-    client_kwargs = config.effective_client_kwargs()
+    abort_backoff_ms = config.retry.abort_backoff_ms
+    client_kwargs = config.retry.client_kwargs(config.protocol)
 
     def client_loop(client, workload: Workload, group: str):
         observe = getattr(workload, "observe", None)

@@ -40,7 +40,7 @@ from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.errors import UnavailableError
 from repro.hat.clients.base import LayeredClient, ReadRequest, TxnContext
-from repro.hat.transaction import Operation, ReadObservation, Transaction, TransactionResult
+from repro.hat.transaction import Operation, ReadObservation
 from repro.sim.process import all_of
 from repro.storage.records import Timestamp, Version
 
@@ -199,81 +199,54 @@ class AtomicVisibilityLayer(WriteBufferingLayer):
 # Item and Predicate Cut Isolation (Section 5.1.1)
 # ---------------------------------------------------------------------------
 
-def split_cut_plan(operations: List[Operation],
-                   predicate_cut: bool = True) -> Tuple[List[Operation], List[str], List[str]]:
-    """Separate first reads from repeats (the cut-isolation rewrite).
-
-    Returns ``(plan, duplicate_reads, duplicate_scans)``: the plan keeps the
-    first read of each item (and, with ``predicate_cut``, the first
-    evaluation of each named predicate); repeats are answered later from the
-    cache of first observations by :func:`replay_cut_duplicates`.
-    """
-    seen_keys: Dict[str, None] = {}
-    seen_predicates: Dict[str, None] = {}
-    plan: List[Operation] = []
-    duplicate_reads: List[str] = []
-    duplicate_scans: List[str] = []
-    written: Dict[str, None] = {}
-    for op in operations:
-        if op.is_read:
-            if op.key in seen_keys and op.key not in written:
-                duplicate_reads.append(op.key)
-                continue
-            seen_keys[op.key] = None
-            plan.append(op)
-        elif op.is_scan and predicate_cut:
-            name = op.predicate_name or "predicate"
-            if name in seen_predicates:
-                duplicate_scans.append(name)
-                continue
-            seen_predicates[name] = None
-            plan.append(op)
-        else:
-            if op.is_write:
-                written[op.key] = None
-            plan.append(op)
-    return plan, duplicate_reads, duplicate_scans
-
-
-def replay_cut_duplicates(result: TransactionResult,
-                          duplicate_reads: List[str],
-                          duplicate_scans: List[str]) -> None:
-    """Answer repeated reads from the cache of first observations."""
-    first_seen: Dict[str, Version] = {}
-    for observation in result.reads:
-        first_seen.setdefault(observation.key, observation.version)
-    for key in duplicate_reads:
-        if key in first_seen:
-            result.reads.append(ReadObservation(key=key, version=first_seen[key]))
-    for _name in duplicate_scans:
-        if result.scan_results:
-            result.scan_results.append(list(result.scan_results[0]))
-
-
 class CutIsolationLayer(GuaranteeLayer):
     """Item and Predicate Cut Isolation via per-transaction read caching.
 
     "It is possible to satisfy Item Cut Isolation with high availability by
     having transactions store a copy of any read data at the client such that
     the values that they read for each item never changes unless they
-    overwrite it themselves."  The layer rewrites the plan so repeats never
-    re-contact a replica — which both guarantees the cut and saves RPCs.
+    overwrite it themselves...  Predicate Cut Isolation is also achievable in
+    HAT systems via similar caching middleware."  The layer rewrites the plan
+    so repeated reads of an item (and repeated evaluations of a named
+    predicate) never re-contact a replica — which both guarantees the cut
+    and saves RPCs — and answers the repeats from the first observations.
     """
 
     token = "ci"
 
-    def __init__(self, predicate_cut: bool = True) -> None:
-        super().__init__()
-        self.predicate_cut = predicate_cut
-
     def plan(self, operations: List[Operation], ctx: TxnContext) -> List[Operation]:
-        plan, ctx.duplicate_reads, ctx.duplicate_scans = split_cut_plan(
-            operations, predicate_cut=self.predicate_cut
-        )
+        seen_keys: Set[str] = set()
+        seen_predicates: Set[str] = set()
+        written: Set[str] = set()
+        plan: List[Operation] = []
+        for op in operations:
+            if op.is_read:
+                if op.key in seen_keys and op.key not in written:
+                    ctx.duplicate_reads.append(op.key)
+                    continue
+                seen_keys.add(op.key)
+            elif op.is_scan:
+                name = op.predicate_name or "predicate"
+                if name in seen_predicates:
+                    ctx.duplicate_scans.append(name)
+                    continue
+                seen_predicates.add(name)
+            elif op.is_write:
+                written.add(op.key)
+            plan.append(op)
         return plan
 
     def finalize(self, ctx: TxnContext) -> None:
-        replay_cut_duplicates(ctx.result, ctx.duplicate_reads, ctx.duplicate_scans)
+        result = ctx.result
+        first_seen: Dict[str, Version] = {}
+        for observation in result.reads:
+            first_seen.setdefault(observation.key, observation.version)
+        for key in ctx.duplicate_reads:
+            if key in first_seen:
+                result.reads.append(ReadObservation(key=key, version=first_seen[key]))
+        for _name in ctx.duplicate_scans:
+            if result.scan_results:
+                result.scan_results.append(list(result.scan_results[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +288,10 @@ class SessionState:
             self.last_seen[key] = version
         self._raise_high_water(version.timestamp)
 
-    def remember_write(self, key: str, version: Version,
-                       update_last_seen: bool = False) -> None:
+    def remember_write(self, key: str, version: Version) -> None:
         current = self.own_writes.get(key)
         if current is None or version.timestamp > current.timestamp:
             self.own_writes[key] = version
-        if update_last_seen:
-            seen = self.last_seen.get(key)
-            if seen is None or version.timestamp > seen.timestamp:
-                self.last_seen[key] = version
         self._raise_high_water(version.timestamp)
 
     def _raise_high_water(self, timestamp: Timestamp) -> None:

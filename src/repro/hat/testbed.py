@@ -19,9 +19,7 @@ from repro.cluster.config import ClusterConfig, build_cluster_config
 from repro.cluster.node import ServiceCostModel
 from repro.errors import ReproError
 from repro.hat.clients import ProtocolClient, build_client
-from repro.hat.cut_isolation import CutIsolationClient
 from repro.hat.server import HATServer
-from repro.hat.sessions import SessionClient
 from repro.membership.coordinator import MembershipCoordinator, MembershipEvent
 from repro.membership.ring import DEFAULT_VIRTUAL_NODES
 from repro.net.latency import EC2LatencyModel, FixedLatencyModel, LatencyModel
@@ -49,15 +47,11 @@ class Scenario:
     value_bytes: int = 1024
     seed: int = 0
     durable: bool = True
-    anti_entropy_interval_ms: float = 10.0
-    #: Cap on dirty versions each anti-entropy round processes (None keeps
-    #: the historical flush-everything behaviour); elastic scenarios bound
-    #: it so handoff/heal catch-up bursts do not saturate replicas.
-    anti_entropy_max_per_round: Optional[int] = None
-    #: Full anti-entropy override (capacity coupling, send costs, batch
-    #: sizes).  When set it wins over the two legacy fields above; the
-    #: overload experiments use it to couple catch-up to service capacity.
-    anti_entropy: Optional[AntiEntropyConfig] = None
+    #: Anti-entropy settings every server shares: push interval, per-round
+    #: cap (elastic scenarios bound it so handoff/heal catch-up bursts do
+    #: not saturate replicas), and capacity coupling (the overload
+    #: experiments couple catch-up to service capacity).
+    anti_entropy: AntiEntropyConfig = field(default_factory=AntiEntropyConfig)
     #: Server-side admission control: bounded request queues with a
     #: shedding policy (see :mod:`repro.overload.admission`).  ``None``
     #: keeps the historical unbounded FIFO.
@@ -129,19 +123,14 @@ class Testbed:
     # -- client construction -----------------------------------------------------------
     def make_client(self, protocol: str, home_cluster: Optional[str] = None,
                     recorder: Optional[object] = None,
-                    session: bool = False, sticky: bool = True,
-                    cut_isolation: bool = False,
-                    **client_kwargs) -> ProtocolClient:
+                    sticky: bool = True, **client_kwargs) -> ProtocolClient:
         """Create a client for a protocol spec, homed in ``home_cluster``.
 
         ``protocol`` is any spec the registry accepts — a plain base such as
         ``"mav"`` or a guarantee stack such as ``"causal"`` or
         ``"mav+wfr+mr"`` (see :func:`repro.hat.protocols.parse_spec`).
         ``sticky=False`` builds the stack in demonstration mode: session
-        layers record guarantee violations instead of repairing them.  The
-        legacy wrapper flags remain: ``session=True`` wraps the client with
-        the post-processing :class:`SessionClient` and ``cut_isolation=True``
-        with :class:`CutIsolationClient`.
+        layers record guarantee violations instead of repairing them.
         """
         if home_cluster is None:
             home_cluster = self.config.cluster_names[0]
@@ -155,13 +144,8 @@ class Testbed:
             value_bytes=self.scenario.value_bytes, sticky=sticky,
             **client_kwargs,
         )
-        wrapped: ProtocolClient = client
-        if cut_isolation:
-            wrapped = CutIsolationClient(wrapped)
-        if session:
-            wrapped = SessionClient(wrapped, sticky=sticky)
-        self.clients.append(wrapped)
-        return wrapped
+        self.clients.append(client)
+        return client
 
     def make_clients(self, protocol: str, per_cluster: int,
                      recorder: Optional[object] = None,
@@ -200,7 +184,7 @@ class Testbed:
             self.env, self.network, server_name, self.config,
             cost_model=self.scenario.service_cost,
             lsm_cost=self.scenario.lsm_cost,
-            anti_entropy=_anti_entropy_config(self.scenario),
+            anti_entropy=self.scenario.anti_entropy,
             durable=self.scenario.durable,
             keep_versions=self.scenario.keep_versions,
             admission=self.scenario.admission,
@@ -263,15 +247,6 @@ class Testbed:
         return worst
 
 
-def _anti_entropy_config(scenario: Scenario) -> AntiEntropyConfig:
-    """The anti-entropy settings a scenario implies (override wins)."""
-    if scenario.anti_entropy is not None:
-        return scenario.anti_entropy
-    return AntiEntropyConfig(
-        interval_ms=scenario.anti_entropy_interval_ms,
-        max_versions_per_round=scenario.anti_entropy_max_per_round)
-
-
 def build_testbed(scenario: Scenario) -> Testbed:
     """Construct every component of a simulated deployment."""
     env = Environment()
@@ -315,14 +290,13 @@ def build_testbed(scenario: Scenario) -> Testbed:
         network.metrics = MetricsRegistry(window_ms=scenario.metrics_window_ms)
 
     servers: Dict[str, HATServer] = {}
-    ae_config = _anti_entropy_config(scenario)
     for cluster in config.clusters:
         for server_name in cluster.servers:
             server = HATServer(
                 env, network, server_name, config,
                 cost_model=scenario.service_cost,
                 lsm_cost=scenario.lsm_cost,
-                anti_entropy=ae_config,
+                anti_entropy=scenario.anti_entropy,
                 durable=scenario.durable,
                 keep_versions=scenario.keep_versions,
                 admission=scenario.admission,

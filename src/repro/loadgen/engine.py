@@ -64,16 +64,13 @@ class OpenLoopConfig:
     max_queue: Optional[int] = None
     #: How often the backlog sampler records queue depth / in-flight counts.
     backlog_sample_ms: float = 100.0
-    #: Extra keyword arguments for every session's protocol client.
-    client_kwargs: Dict[str, Any] = field(default_factory=dict)
     #: Client-side retry discipline (see
     #: :class:`repro.overload.retry.RetryPolicy`).  A failed (externally
     #: aborted) request is retried by its session with jittered
     #: exponential backoff, gated by the per-session retry budget and the
-    #: per-pool circuit breaker the policy configures.  ``None`` — and a
-    #: policy with the default ``max_attempts=1`` — never retries, which
-    #: is the engine's historical behaviour.
-    retry: Optional[RetryPolicy] = None
+    #: per-pool circuit breaker the policy configures.  The default
+    #: policy (``max_attempts=1``) never retries.
+    retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         if self.arrivals is None:
@@ -239,7 +236,7 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
             transaction = request.transaction
             transaction.session_id = session_id
             budget = None
-            if retry is not None and retry.retry_budget_ratio is not None:
+            if retry.retry_budget_ratio is not None:
                 budget = budgets.get(session_id)
                 if budget is None:
                     budget = budgets[session_id] = retry.make_budget()
@@ -247,30 +244,27 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                 if metrics is not None:
                     metrics.inc("retry_budget_deposits_total", group=group)
             result = yield client.execute(transaction)
-            if retry is not None:
-                # Externally aborted requests (timeouts, overload
-                # rejections, unreachable replicas) are retried with
-                # jittered exponential backoff, bounded by the attempt
-                # cap and the session's retry budget; an internal abort
-                # is the transaction's own choice and is never retried.
-                attempt_no = 1
-                while (not result.committed and not result.internal_abort
-                       and attempt_no < retry.max_attempts):
-                    if budget is not None and not budget.withdraw():
-                        counters.retry_denials += 1
-                        if metrics is not None:
-                            metrics.inc("retry_budget_denials_total",
-                                        group=group)
-                        break
-                    if budget is not None and metrics is not None:
-                        metrics.inc("retry_budget_withdrawals_total",
-                                    group=group)
-                    delay = retry.backoff_ms(attempt_no, retry_rng)
-                    if delay > 0.0:
-                        yield env.timeout(delay)
-                    counters.retries += 1
-                    attempt_no += 1
-                    result = yield client.execute(transaction)
+            # Externally aborted requests (timeouts, overload rejections,
+            # unreachable replicas) are retried with jittered exponential
+            # backoff, bounded by the attempt cap and the session's retry
+            # budget; an internal abort is the transaction's own choice and
+            # is never retried.
+            attempt_no = 1
+            while (not result.committed and not result.internal_abort
+                   and attempt_no < retry.max_attempts):
+                if budget is not None and not budget.withdraw():
+                    counters.retry_denials += 1
+                    if metrics is not None:
+                        metrics.inc("retry_budget_denials_total", group=group)
+                    break
+                if budget is not None and metrics is not None:
+                    metrics.inc("retry_budget_withdrawals_total", group=group)
+                delay = retry.backoff_ms(attempt_no, retry_rng)
+                if delay > 0.0:
+                    yield env.timeout(delay)
+                counters.retries += 1
+                attempt_no += 1
+                result = yield client.execute(transaction)
             if result.end_ms >= measure_start:
                 if result.committed:
                     counters.committed += 1
@@ -321,22 +315,16 @@ def _run_open_loop_inner(config: OpenLoopConfig, testbed: Testbed, env,
                           for server in testbed.servers.values())
     for cluster_index, cluster_name in enumerate(testbed.config.cluster_names):
         group = testbed.config.cluster(cluster_name).region
-        pool_kwargs = config.client_kwargs
-        retry_rng = None
-        if retry is not None:
-            # The policy's deadlines become client kwargs (explicit
-            # entries in config.client_kwargs still win).  Each pool gets
-            # its own jitter stream (named streams are independent, so a
-            # run without a retry policy draws the exact same random
-            # sequences as before the policy existed) and, when
-            # configured, one circuit breaker shared by its sessions.
-            pool_kwargs = retry.client_kwargs(config.protocol)
-            pool_kwargs.update(config.client_kwargs)
-            retry_rng = streams.stream(f"retry:{cluster_name}")
-            breaker = retry.make_breaker()
-            if breaker is not None:
-                breakers.append(breaker)
-                pool_kwargs["breaker"] = breaker
+        # The policy's deadlines become client kwargs.  Each pool gets its
+        # own jitter stream (named streams are independent, so creating it
+        # perturbs no other random sequence) and, when configured, one
+        # circuit breaker shared by its sessions.
+        pool_kwargs = retry.client_kwargs(config.protocol)
+        retry_rng = streams.stream(f"retry:{cluster_name}")
+        breaker = retry.make_breaker()
+        if breaker is not None:
+            breakers.append(breaker)
+            pool_kwargs["breaker"] = breaker
         pool = SessionPool(
             testbed, config.protocol, cluster_name,
             size=config.sessions_per_cluster, recorder=recorder,

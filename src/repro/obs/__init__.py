@@ -5,8 +5,8 @@ constructed unless ``Scenario.tracing`` is set, and every instrumentation
 site guards on ``tracer is not None`` before doing any work.  When enabled,
 span bookkeeping is purely inline — no extra simulator events are scheduled,
 no randomness is consumed, and no timing changes — so traced runs execute
-the *exact same event sequence* as untraced ones (pinned by the perf-smoke
-overhead test).
+the *exact same event sequence* as untraced ones (pinned by
+``tests/obs/test_on_off_identity.py``).
 """
 
 from repro.obs.metrics import MetricsRegistry

@@ -23,8 +23,8 @@ Zero-overhead contract: like tracing, nothing here schedules simulator
 events or consumes randomness — all bookkeeping is inline arithmetic on
 plain dicts — and every instrumentation site guards on
 ``metrics is not None``, so a metrics-off run executes the exact same
-event sequence (pinned by ``measure_metrics_overhead`` in the perf
-artifact and by the golden-artifact byte-identity tests).
+event sequence (pinned by ``tests/obs/test_on_off_identity.py`` and by
+the golden-artifact byte-identity tests).
 
 Determinism: registries are keyed and iterated in sorted order, ids are
 registry-local, and the t-digest is the deterministic mergeable sketch

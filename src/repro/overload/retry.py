@@ -10,8 +10,8 @@ amplification:
 * :class:`RetryPolicy` — the single documented home for every
   timeout/backoff knob (RPC deadline, lock deadline, zero-time-abort
   pacing, retry count, jittered exponential backoff, budget and breaker
-  parameters).  Run configs carry one of these instead of scattering
-  ``client_kwargs`` dictionaries and per-protocol special cases.
+  parameters).  Run configs carry one of these instead of per-protocol
+  keyword arguments.
 * :class:`RetryBudget` — a token bucket in the style of Finagle's retry
   budget: fresh requests deposit a fraction of a token, retries withdraw a
   whole one, so sustained retry load is at most ``ratio`` times the
@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
+from repro.errors import ReproError
+
 __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 
 
@@ -37,14 +39,12 @@ __all__ = ["RetryPolicy", "RetryBudget", "CircuitBreaker"]
 class RetryPolicy:
     """Every client-side timeout/backoff/retry knob, in one place.
 
-    The first three fields consolidate knobs that previously lived in
-    three different places: ``rpc_timeout_ms`` was passed through
-    ``client_kwargs``, ``lock_timeout_ms`` was special-cased per protocol
-    by the saturation bench, and the zero-time-abort backoff was a loose
-    constant on the closed-loop runner.  The remaining fields configure
-    the open-loop engine's retry loop and its defenses; with the default
-    ``max_attempts=1`` no retry ever happens and a run behaves exactly as
-    if no policy were set.
+    Both load drivers (the closed-loop runner and the open-loop engine)
+    carry one of these; it is the only way to set a client deadline.  The
+    first three fields apply to every run: the RPC deadline, the 2PL lock
+    deadline, and the pacing after a zero-time abort.  The remaining
+    fields configure the open-loop engine's retry loop and its defenses;
+    with the default ``max_attempts=1`` no retry ever happens.
     """
 
     #: RPC deadline for every request a client issues.  ``None`` keeps the
@@ -81,6 +81,17 @@ class RetryPolicy:
     breaker_cooldown_ms: float = 1_000.0
     #: Probes allowed in flight while half-open.
     breaker_half_open_probes: int = 1
+
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ReproError(
+                f"max_attempts must be >= 1, got {self.max_attempts!r}")
+        for name in ("rpc_timeout_ms", "lock_timeout_ms", "abort_backoff_ms",
+                     "backoff_base_ms", "backoff_cap_ms",
+                     "breaker_cooldown_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0.0:
+                raise ReproError(f"{name} must be >= 0, got {value!r}")
 
     def client_kwargs(self, protocol: str) -> Dict[str, Any]:
         """The keyword arguments this policy implies for a protocol client.

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig
+from repro.errors import ReproError
 from repro.sim import Environment
 from repro.storage.records import Version
 
@@ -63,6 +64,21 @@ class AntiEntropyConfig:
     #: Worker time to read, serialize, and stream one catch-up version
     #: when coupled (the same storage path a foreground write exercises).
     send_cost_ms_per_version: float = 0.05
+
+    def __post_init__(self) -> None:
+        # A zero interval reschedules the push loop at the same instant
+        # forever; a zero cap pushes nothing, so replicas never converge.
+        if self.interval_ms <= 0.0:
+            raise ReproError(
+                f"interval_ms must be > 0, got {self.interval_ms!r}")
+        if self.batch_size < 1:
+            raise ReproError(
+                f"batch_size must be >= 1, got {self.batch_size!r}")
+        if (self.max_versions_per_round is not None
+                and self.max_versions_per_round < 1):
+            raise ReproError(
+                "max_versions_per_round must be None or >= 1, "
+                f"got {self.max_versions_per_round!r}")
 
     def effective_max_per_round(self) -> Optional[int]:
         """The per-round cap actually enforced.

@@ -4,127 +4,85 @@ Marked ``perf`` so they can be deselected (``-m "not perf"``) on saturated
 machines.  The bounds are deliberately generous — an order of magnitude
 below current numbers — so they only trip on real regressions (an
 accidentally quadratic hot path, an event-loop bug), not on CI noise.
+The benchmark that measures speed end to end and per layer is
+``perfbench/``.
 """
+
+import time
 
 import pytest
 
-from repro.bench.perf import (
-    canonical_perf_matrix,
-    format_perf,
-    perf_report_json,
-    run_perf_case,
-    run_perf_matrix,
-)
+from repro.bench.runner import RunConfig, run_workload
+from repro.hat.testbed import Scenario, build_testbed
+from repro.workloads.tpcc_driver import TPCCDriverFactory
+from repro.workloads.ycsb import YCSBConfig
 
-#: Current hardware does > 60k events/s on every canonical case; a collapse
-#: below this floor means a kernel hot path regressed by ~10x.
+#: A 2-CPU x86-64 box runs every case at > 60k events/s; a collapse below
+#: this floor means a kernel hot path regressed by ~10x.
 MIN_EVENTS_PER_S = 5_000
-#: Every quick case finishes well under a second today.
+#: Every case finishes well under a second on that box.
 MAX_CASE_WALL_S = 30.0
 
 pytestmark = pytest.mark.perf
 
 
+def _ycsb(protocol, regions=("VA", "OR"), clients_per_cluster=4):
+    return lambda scale: RunConfig(
+        protocol=protocol,
+        scenario=Scenario(regions=list(regions), servers_per_cluster=2),
+        workload=YCSBConfig(write_proportion=0.5),
+        clients_per_cluster=clients_per_cluster,
+        duration_ms=600.0 * scale,
+        seed=0,
+    )
+
+
+def _tpcc(scale):
+    return RunConfig(
+        protocol="read-committed",
+        scenario=Scenario(regions=["VA", "OR"], servers_per_cluster=2),
+        workload=TPCCDriverFactory(),
+        clients_per_cluster=2,
+        duration_ms=800.0 * scale,
+        warmup_ms=0.0,
+        seed=0,
+    )
+
+
+#: One case per protocol family the figures sweep (their kernel paths
+#: differ), a five-region geo case and TPC-C; each builds a fresh config
+#: for a duration scale.
+CASES = {
+    "ycsb-eventual-2x2": _ycsb("eventual"),
+    "ycsb-rc-2x2": _ycsb("read-committed"),
+    "ycsb-mav-2x2": _ycsb("mav"),
+    "ycsb-master-2x2": _ycsb("master"),
+    "ycsb-eventual-geo5": _ycsb("eventual",
+                                regions=("VA", "CA", "OR", "IR", "SI"),
+                                clients_per_cluster=2),
+    "tpcc-rc-2x2": _tpcc,
+}
+
+
+def _run(config):
+    start = time.perf_counter()
+    testbed = build_testbed(config.scenario)
+    stats = run_workload(config, testbed=testbed)
+    return stats, testbed.env.events_executed, time.perf_counter() - start
+
+
 class TestPerfSmoke:
     def test_matrix_runs_within_bounds(self):
-        results = run_perf_matrix(quick=True)
-        assert len(results) == len(canonical_perf_matrix())
-        for result in results:
-            assert result.wall_s < MAX_CASE_WALL_S, result.name
-            assert result.events > 0, result.name
-            assert result.events_per_s > MIN_EVENTS_PER_S, (
-                f"{result.name}: events/sec collapsed to "
-                f"{result.events_per_s:.0f} — a kernel hot path regressed"
-            )
+        for name, make in CASES.items():
+            _, events, wall_s = _run(make(1.0))
+            assert wall_s < MAX_CASE_WALL_S, name
+            assert events > 0, name
+            assert events / wall_s > MIN_EVENTS_PER_S, (
+                f"{name}: events/sec collapsed to {events / wall_s:.0f} "
+                "— a kernel hot path regressed")
 
     def test_cases_commit_work(self):
         """Speed without progress is meaningless: every case must commit."""
-        for case in canonical_perf_matrix():
-            result = run_perf_case(case, scale=0.5)
-            assert result.committed > 0, case.name
-
-    def test_report_forms(self):
-        results = run_perf_matrix(quick=True,
-                                  cases=canonical_perf_matrix()[:2])
-        text = format_perf(results)
-        assert "events/s" in text and "TOTAL" in text
-        payload = perf_report_json(results)
-        assert payload["figure"] == "perf"
-        assert len(payload["cases"]) == 2
-        assert payload["total_events_per_s"] > 0
-        # JSON-safe: every value serializes without NaN/Inf.
-        import json
-
-        json.dumps(payload, allow_nan=False)
-
-
-class TestTracingOverhead:
-    def test_tracing_disabled_is_zero_overhead(self):
-        """The traced run must execute the IDENTICAL event sequence.
-
-        Tracing is bookkeeping layered on the same events — if enabling it
-        changes the event count or the commit count, spans are perturbing
-        the simulation and every traced artifact is suspect.
-        """
-        from repro.bench.perf import measure_tracing_overhead
-
-        overhead = measure_tracing_overhead(duration_ms=200.0)
-        assert overhead.events_on == overhead.events_off
-        assert overhead.committed_on == overhead.committed_off
-        assert overhead.committed_off > 0
-        assert overhead.spans > 0
-        assert overhead.ratio > 0
-
-    def test_json_field_in_perf_payload(self):
-        from repro.bench.perf import TracingOverhead
-
-        results = run_perf_matrix(quick=True,
-                                  cases=canonical_perf_matrix()[:1])
-        overhead = TracingOverhead(wall_off_s=1.0, wall_on_s=1.2,
-                                   events_off=100, events_on=100,
-                                   committed_off=10, committed_on=10,
-                                   spans=50)
-        payload = perf_report_json(results, tracing_overhead=overhead)
-        entry = payload["tracing_overhead"]
-        assert entry["events_off"] == entry["events_on"] == 100
-        assert entry["ratio"] == pytest.approx(1.2)
-        import json
-
-        json.dumps(payload, allow_nan=False)
-
-
-class TestParallelSpeedup:
-    def test_contract(self):
-        from repro.bench.perf import (
-            SpeedupResult,
-            format_speedup,
-            measure_parallel_speedup,
-        )
-
-        speedup = measure_parallel_speedup(jobs=2, tasks=2, duration_ms=60.0)
-        assert isinstance(speedup, SpeedupResult)
-        assert speedup.tasks == 2
-        assert speedup.sequential_wall_s > 0
-        assert speedup.parallel_wall_s > 0
-        assert speedup.speedup > 0
-        # Every task ran somewhere: the per-worker walls cover all of them.
-        assert speedup.per_worker_wall_s
-        assert sum(speedup.per_worker_wall_s.values()) > 0
-        text = format_speedup(speedup)
-        assert "speedup" in text and "worker" in text
-
-    def test_json_field_in_perf_payload(self):
-        from repro.bench.perf import SpeedupResult
-
-        results = run_perf_matrix(quick=True,
-                                  cases=canonical_perf_matrix()[:1])
-        speedup = SpeedupResult(jobs=2, tasks=4, sequential_wall_s=2.0,
-                                parallel_wall_s=1.0,
-                                per_worker_wall_s={"1": 1.0, "2": 1.0})
-        payload = perf_report_json(results, speedup=speedup)
-        entry = payload["parallel_speedup"]
-        assert entry["speedup"] == pytest.approx(2.0)
-        assert entry["workers"] == 2
-        import json
-
-        json.dumps(payload, allow_nan=False)
+        for name, make in CASES.items():
+            stats, _, _ = _run(make(0.5))
+            assert stats.committed > 0, name

@@ -12,6 +12,7 @@ from repro.bench.runner import (
     run_workload,
 )
 from repro.hat.testbed import FIVE_REGION_DEPLOYMENT, Scenario, build_testbed
+from repro.overload.retry import RetryPolicy
 from repro.workloads.ycsb import YCSBConfig
 
 
@@ -171,10 +172,9 @@ class TestPluggableWorkloads:
         assert stats.committed + stats.aborted > 0
 
     def test_backoff_config_still_exposed(self):
-        from repro.bench.runner import ZERO_TIME_ABORT_BACKOFF_MS
-
         config = quick_config("eventual")
-        assert config.abort_backoff_ms == ZERO_TIME_ABORT_BACKOFF_MS
+        assert config.retry.abort_backoff_ms == RetryPolicy().abort_backoff_ms
+        assert config.retry.abort_backoff_ms > 0.0
 
 
 class TestTelemetryIntegration:

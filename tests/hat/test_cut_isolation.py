@@ -1,8 +1,11 @@
-"""Tests for Item and Predicate Cut Isolation via client-side caching."""
+"""Tests for Item and Predicate Cut Isolation via client-side caching.
+
+Cut isolation is the registry's ``ci`` layer, stacked by spec
+(``"eventual+ci"``, ``"read-committed+ci"``).
+"""
 
 import pytest
 
-from repro.hat.cut_isolation import CutIsolationClient
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
 
@@ -22,7 +25,7 @@ class TestItemCutIsolation:
     def test_repeated_reads_return_first_value(self, testbed):
         """Fuzzy reads are impossible: the second read is served from the
         per-transaction cache even if another client overwrites the item."""
-        reader = CutIsolationClient(testbed.make_client("eventual"))
+        reader = testbed.make_client("eventual+ci")
         writer = testbed.make_client("eventual")
         run(testbed, writer, [Operation.write("x", "v1")])
 
@@ -42,7 +45,7 @@ class TestItemCutIsolation:
 
     def test_write_overrides_cached_read(self, testbed):
         """A transaction that overwrites an item it read sees its own value."""
-        client = CutIsolationClient(testbed.make_client("read-committed"))
+        client = testbed.make_client("read-committed+ci")
         base = testbed.make_client("eventual")
         run(testbed, base, [Operation.write("x", "original")])
         result = run(testbed, client, [
@@ -55,7 +58,7 @@ class TestItemCutIsolation:
 
     def test_saves_rpcs_on_duplicate_reads(self, testbed):
         plain = testbed.make_client("eventual")
-        cached = CutIsolationClient(testbed.make_client("eventual"))
+        cached = testbed.make_client("eventual+ci")
         operations = [Operation.read("x"), Operation.read("x"), Operation.read("x")]
         plain_result = run(testbed, plain, operations)
         cached_result = run(testbed, cached, operations)
@@ -67,7 +70,7 @@ class TestItemCutIsolation:
 
 class TestPredicateCutIsolation:
     def test_repeated_scans_return_same_cut(self, testbed):
-        client = CutIsolationClient(testbed.make_client("eventual"), predicate_cut=True)
+        client = testbed.make_client("eventual+ci")
         seed = testbed.make_client("eventual")
         run(testbed, seed, [Operation.write("p1", 5), Operation.write("p2", 50)])
         predicate = Operation.scan(lambda key, value: isinstance(value, int) and value > 10,
@@ -84,7 +87,9 @@ class TestPredicateCutIsolation:
         assert first == second
 
     def test_protocol_name_reflects_mode(self, testbed):
-        assert CutIsolationClient(testbed.make_client("eventual")).protocol_name \
-            == "eventual+p-ci"
-        assert CutIsolationClient(testbed.make_client("eventual"),
-                                  predicate_cut=False).protocol_name == "eventual+i-ci"
+        """The stack's canonical name carries the ``ci`` layer."""
+        client = testbed.make_client("eventual+ci")
+        assert client.protocol_name == "ci"  # the eventual base is implicit
+        assert [layer.token for layer in client.layers] == ["ci"]
+        assert testbed.make_client("read-committed+ci").protocol_name \
+            == "read-committed+ci"

@@ -12,6 +12,7 @@ from repro.adya.history import HistoryRecorder
 from repro.adya.phenomena import MRWD, MYR, N_MR, detect
 from repro.hat.testbed import Scenario, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 
 
 def frozen_ae_testbed():
@@ -21,7 +22,7 @@ def frozen_ae_testbed():
     test, so which side holds which version is fully deterministic.
     """
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                  anti_entropy_interval_ms=600_000.0))
+                                  anti_entropy=AntiEntropyConfig(interval_ms=600_000.0)))
 
 
 def run(testbed, client, operations):
@@ -67,9 +68,9 @@ class TestReadYourWrites:
 class TestMonotonicReads:
     def scenario(self, protocol, recorder=None):
         # Both clusters converge on "old"; only the home cluster sees "new".
-        testbed = build_testbed(Scenario(regions=["VA", "OR"],
-                                         servers_per_cluster=2,
-                                         anti_entropy_interval_ms=500.0))
+        testbed = build_testbed(Scenario(
+            regions=["VA", "OR"], servers_per_cluster=2,
+            anti_entropy=AntiEntropyConfig(interval_ms=500.0)))
         home = testbed.config.cluster_names[0]
         writer = testbed.make_client("eventual", home_cluster=home,
                                      recorder=recorder)

@@ -119,10 +119,13 @@ def _record_run(protocol: str, recorder: HistoryRecorder):
     from repro.chaos.campaign import canonical_elasticity_campaign
     from repro.chaos.nemesis import Nemesis
     from repro.hat.testbed import Scenario, build_testbed
+    from repro.overload.retry import RetryPolicy
+    from repro.replication.antientropy import AntiEntropyConfig
     from repro.workloads.ycsb import YCSBConfig
 
     scenario = Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                        placement="ring", anti_entropy_max_per_round=32)
+                        placement="ring",
+                        anti_entropy=AntiEntropyConfig(max_versions_per_round=32))
     testbed = build_testbed(scenario)
     campaign = canonical_elasticity_campaign(
         ["VA", "OR"], cluster=testbed.config.cluster_names[0],
@@ -133,7 +136,7 @@ def _record_run(protocol: str, recorder: HistoryRecorder):
                        workload=YCSBConfig(key_count=2_000),
                        clients_per_cluster=1,
                        duration_ms=campaign.duration_ms, warmup_ms=0.0,
-                       seed=0, client_kwargs={"rpc_timeout_ms": 2_000.0})
+                       seed=0, retry=RetryPolicy(rpc_timeout_ms=2_000.0))
     run_workload(config, testbed=testbed, recorder=recorder)
     # Every key the first join moved must be readable at its new owner.
     join = next(r for r in testbed.membership.records if r.kind == "join")

@@ -10,8 +10,10 @@ deterministic arithmetic, which is what makes them property-testable.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.overload.retry import CircuitBreaker, RetryBudget, RetryPolicy
 
 ratios = st.floats(min_value=0.0, max_value=1.0,
@@ -204,3 +206,24 @@ class TestRetryPolicyBackoff:
         assert policy.client_kwargs("lock-sr") == {
             "rpc_timeout_ms": 2_000.0, "lock_timeout_ms": 1_000.0}
         assert RetryPolicy().client_kwargs("eventual") == {}
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_attempts": 0},  # would silently behave as 1
+        {"max_attempts": -2},
+        {"rpc_timeout_ms": -1.0},
+        {"lock_timeout_ms": -1.0},
+        {"abort_backoff_ms": -1.0},
+        {"backoff_base_ms": -1.0},
+        {"backoff_cap_ms": -1.0},
+        {"breaker_cooldown_ms": -1.0},
+    ], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects(self, kwargs):
+        with pytest.raises(ReproError):
+            RetryPolicy(**kwargs)
+
+    def test_accepts_zero_and_unset(self):
+        policy = RetryPolicy(rpc_timeout_ms=None, abort_backoff_ms=0.0,
+                             backoff_base_ms=0.0, max_attempts=1)
+        assert policy.backoff_ms(1, random.Random(0)) == 0.0

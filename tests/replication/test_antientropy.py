@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.errors import ReproError
 from repro.hat.testbed import Scenario, Testbed, build_testbed
 from repro.hat.transaction import Operation, Transaction
+from repro.replication.antientropy import AntiEntropyConfig
 
 
 @pytest.fixture
 def testbed() -> Testbed:
     return build_testbed(Scenario(regions=["VA", "OR"], servers_per_cluster=2,
-                                  anti_entropy_interval_ms=5.0))
+                                  anti_entropy=AntiEntropyConfig(interval_ms=5.0)))
 
 
 class TestAntiEntropy:
@@ -77,3 +79,22 @@ class TestAntiEntropy:
             remote.execute(Transaction([Operation.read("user3")]))
         )
         assert fresh.value_read("user3") == "only-va"
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"interval_ms": 0.0},  # would reschedule the push loop forever
+        {"interval_ms": -5.0},
+        {"batch_size": 0},
+        {"max_versions_per_round": 0},  # would push nothing, never converge
+        {"max_versions_per_round": -1},
+    ], ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects(self, kwargs):
+        with pytest.raises(ReproError):
+            AntiEntropyConfig(**kwargs)
+
+    def test_accepts_smallest_valid(self):
+        config = AntiEntropyConfig(interval_ms=0.5, batch_size=1,
+                                   max_versions_per_round=1)
+        assert config.effective_max_per_round() == 1
+        assert AntiEntropyConfig().max_versions_per_round is None
