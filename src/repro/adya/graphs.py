@@ -15,12 +15,21 @@ Edges are annotated with the item so phenomena such as Lost Update ("all
 edges are by the same data item") can filter on it.  The graph is a
 :class:`networkx.MultiDiGraph` because two transactions can be related by
 several dependencies at once.
+
+:func:`build_dsg` builds the graph once per history and caches it there,
+with an index of its edges grouped by kind and item, until the history
+next changes.  :func:`cycles_with` draws the edges it needs from that
+index, so a call costs time in the edges it selects, not in the whole
+graph; a call that finds a cycle also pays O(nodes) to report it.
+Callers must not mutate a graph :func:`build_dsg` returns: every
+detector checking the same history shares it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -32,6 +41,9 @@ RW = "rw"
 SESSION = "session"
 
 EDGE_TYPES = (WW, WR, RW, SESSION)
+
+#: One DSG edge as ``(src, dst, kind, item)``.
+Edge = Tuple[int, int, str, Optional[str]]
 
 
 @dataclass(frozen=True)
@@ -49,7 +61,18 @@ class DependencyEdge:
 
 
 def build_dsg(history: History, include_sessions: bool = True) -> nx.MultiDiGraph:
-    """Construct the DSG (plus session edges) for ``history``."""
+    """The DSG (plus session edges) of ``history``, built once per history.
+
+    The graph and its edge index are cached on the history until one of its
+    mutators runs, so every detector and every isolation level checked
+    against the same history shares one build.  Callers must not mutate the
+    returned graph.
+    """
+    return history._cached(("dsg", include_sessions),
+                           lambda: _build_dsg(history, include_sessions))
+
+
+def _build_dsg(history: History, include_sessions: bool) -> nx.MultiDiGraph:
     graph = nx.MultiDiGraph()
     committed = history.committed()
     graph.add_nodes_from(t.txn_id for t in committed)
@@ -75,6 +98,7 @@ def build_dsg(history: History, include_sessions: bool = True) -> nx.MultiDiGrap
             for earlier, later in zip(transactions, transactions[1:]):
                 _add_edge(graph, earlier.txn_id, later.txn_id, SESSION, None)
 
+    graph.graph[_INDEX] = _EdgeIndex(graph)
     return graph
 
 
@@ -91,6 +115,41 @@ def edges_of(graph: nx.MultiDiGraph) -> List[DependencyEdge]:
         DependencyEdge(src=src, dst=dst, kind=data["kind"], item=data.get("item"))
         for src, dst, data in graph.edges(data=True)
     ]
+
+
+#: Key of the :class:`_EdgeIndex` in the attribute dict of a graph built
+#: by :func:`build_dsg`.
+_INDEX = "repro.adya.edge_index"
+
+
+class _EdgeIndex:
+    """A DSG's edges grouped by ``(kind, item)``, each in graph edge order.
+
+    A kind- or item-filtered edge list drawn from here is the same
+    subsequence of ``graph.edges()`` that scanning every edge would give,
+    so a graph rebuilt from it has the same node and adjacency order.
+    """
+
+    def __init__(self, graph: nx.MultiDiGraph):
+        #: The indexed graph; views and copies share its attribute dict.
+        self.graph = weakref.ref(graph)
+        self.edges: List[Edge] = []
+        self.groups: Dict[Tuple[str, Optional[str]], List[int]] = {}
+        for src, dst, data in graph.edges(data=True):
+            kind, item = data["kind"], data.get("item")
+            self.groups.setdefault((kind, item), []).append(len(self.edges))
+            self.edges.append((src, dst, kind, item))
+
+    def select(self, allowed_kinds: Set[str], item: Optional[str]) -> List[Edge]:
+        """Edges of ``allowed_kinds`` (on ``item`` only, if given), in order."""
+        if item is None:
+            wanted = [group for group in self.groups if group[0] in allowed_kinds]
+        else:
+            # Session edges carry no item and always qualify.
+            wanted = [(kind, None if kind == SESSION else item) for kind in allowed_kinds]
+        positions = sorted(position for group in wanted
+                           for position in self.groups.get(group, ()))
+        return [self.edges[position] for position in positions]
 
 
 def cycles_with(
@@ -114,15 +173,30 @@ def cycles_with(
     produced by long recorded histories.  One representative cycle per SCC
     (per required kind) is reconstructed for reporting, up to
     ``max_witnesses``.
+
+    On a graph from :func:`build_dsg` the selected edges come from the
+    index built with it, so a call costs O(E' log E') for the E' edges it
+    selects, and a per-item call touches only that item's edges: checking
+    every item of a history costs O(E log E) in total, not O(items x E).
+    Only a call that finds a cycle also pays O(V) to lay the selected edges
+    over every node, which keeps witnesses in the order the SCC search
+    over the full node set yields them.  Other graphs are indexed per call
+    in O(E).  Callers must not mutate a graph they pass here.
     """
+    index = graph.graph.get(_INDEX)
+    if index is None or index.graph() is not graph:
+        index = _EdgeIndex(graph)
+    edges = index.select(allowed_kinds, item)
+    if not _on_some_cycle(edges, required_kinds):
+        return []
+
+    # Every node, in graph order: networkx subgraph views iterate nodes in
+    # another order once a component is under half the graph, so a graph of
+    # only the touched nodes would pick different witness cycles.
     filtered = nx.MultiDiGraph()
     filtered.add_nodes_from(graph.nodes)
-    for src, dst, data in graph.edges(data=True):
-        if data["kind"] not in allowed_kinds:
-            continue
-        if item is not None and data["kind"] != SESSION and data.get("item") != item:
-            continue
-        filtered.add_edge(src, dst, kind=data["kind"], item=data.get("item"))
+    for src, dst, kind, edge_item in edges:
+        filtered.add_edge(src, dst, kind=kind, item=edge_item)
 
     results: List[List[DependencyEdge]] = []
     for component in nx.strongly_connected_components(filtered):
@@ -139,6 +213,22 @@ def cycles_with(
             if cycle is not None:
                 results.append(cycle)
     return results
+
+
+def _on_some_cycle(edges: List[Edge], required_kinds: Optional[Set[str]]) -> bool:
+    """Whether some edge (of a required kind, if any are named) is on a cycle."""
+    reduced = nx.DiGraph()
+    reduced.add_edges_from((src, dst) for src, dst, _kind, _item in edges)
+    component_of: Dict[int, int] = {}
+    for number, component in enumerate(nx.strongly_connected_components(reduced)):
+        if len(component) > 1:
+            for node in component:
+                component_of[node] = number
+    return any(
+        src in component_of and component_of[src] == component_of.get(dst)
+        for src, dst, kind, _item in edges
+        if not required_kinds or kind in required_kinds
+    )
 
 
 def _seed_edges(subgraph: nx.MultiDiGraph,

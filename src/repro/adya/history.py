@@ -17,7 +17,7 @@ Two ways to build a history:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import IsolationError
 
@@ -80,13 +80,36 @@ class HistoryTransaction:
 
 
 class History:
-    """A set of transactions, a per-item version order, and sessions."""
+    """A set of transactions, a per-item version order, and sessions.
+
+    Checking a history derives indexes from it: a per-key position index
+    behind :meth:`version_position` and :meth:`next_writer`, and the DSG
+    that :func:`~repro.adya.graphs.build_dsg` builds once and shares across
+    detectors and isolation levels.  :meth:`add_transaction` and
+    :meth:`set_version_order` drop them; change a history only through
+    those two methods.  The builder's transaction handles share their
+    :class:`HistoryTransaction` objects with the histories it built, so a
+    handle changed after :meth:`HistoryBuilder.build` needs a fresh
+    ``build()``.
+    """
 
     def __init__(self):
         self.transactions: Dict[int, HistoryTransaction] = {}
         #: key -> list of txn ids in version (installation) order.
         self.version_order: Dict[str, List[int]] = {}
         self._commit_counter = 0
+        self._drop_derived()
+
+    def _drop_derived(self) -> None:
+        #: key -> {txn id: position in ``version_order[key]``}, built lazily.
+        self._positions: Dict[str, Dict[int, int]] = {}
+        self._derived: Dict[Any, Any] = {}
+
+    def _cached(self, name: Any, build: Callable[[], Any]) -> Any:
+        """``build()``'s result, memoised until the history next changes."""
+        if name not in self._derived:
+            self._derived[name] = build()
+        return self._derived[name]
 
     # -- construction ---------------------------------------------------------
     def add_transaction(self, transaction: HistoryTransaction) -> None:
@@ -96,18 +119,32 @@ class History:
         transaction.commit_order = self._commit_counter
         self.transactions[transaction.txn_id] = transaction
         if transaction.committed:
+            # Ids are unique, so the writer is not in any order yet.
             for key in transaction.write_keys():
-                order = self.version_order.setdefault(key, [])
-                if transaction.txn_id not in order:
-                    order.append(transaction.txn_id)
+                self.version_order.setdefault(key, []).append(transaction.txn_id)
+        self._drop_derived()
 
     def set_version_order(self, key: str, txn_ids: Iterable[int]) -> None:
-        """Override the version order for ``key`` (hand-built histories)."""
+        """Override the version order for ``key`` (hand-built histories).
+
+        Every id must name a distinct committed transaction that wrote
+        ``key``; anything else raises :class:`IsolationError`.
+        """
         txn_ids = list(txn_ids)
         for txn_id in txn_ids:
             if txn_id not in self.transactions:
                 raise IsolationError(f"unknown transaction {txn_id} in version order")
+            transaction = self.transactions[txn_id]
+            if not transaction.committed:
+                raise IsolationError(
+                    f"aborted transaction {txn_id} in version order of {key!r}")
+            if transaction.final_write(key) is None:
+                raise IsolationError(
+                    f"transaction {txn_id} in version order of {key!r} never wrote it")
+        if len(set(txn_ids)) != len(txn_ids):
+            raise IsolationError(f"duplicate transaction in version order of {key!r}")
         self.version_order[key] = txn_ids
+        self._drop_derived()
 
     # -- queries -----------------------------------------------------------------
     def committed(self) -> List[HistoryTransaction]:
@@ -126,19 +163,19 @@ class History:
         """Position of a writer in ``key``'s version order (-1 = initial)."""
         if txn_id is INITIAL:
             return -1
-        order = self.version_order.get(key, [])
-        try:
-            return order.index(txn_id)
-        except ValueError:
-            return -1
+        positions = self._positions.get(key)
+        if positions is None:
+            positions = self._positions[key] = {
+                writer: position
+                for position, writer in enumerate(self.version_order.get(key, ()))
+            }
+        return positions.get(txn_id, -1)
 
     def next_writer(self, key: str, txn_id: Optional[int]) -> Optional[int]:
         """The transaction installing the version immediately after ``txn_id``'s."""
-        order = self.version_order.get(key, [])
-        position = self.version_position(key, txn_id)
-        if position + 1 < len(order):
-            return order[position + 1]
-        return None
+        order = self.version_order.get(key, ())
+        position = self.version_position(key, txn_id) + 1
+        return order[position] if position < len(order) else None
 
     def sessions(self) -> Dict[int, List[HistoryTransaction]]:
         """Committed transactions grouped by session, in commit order."""
@@ -208,6 +245,7 @@ class HistoryBuilder:
         self._history = History()
         self._next_id = 1
         self._handles: List[HistoryBuilder._TxnHandle] = []
+        self._pending_orders: List[Tuple[str, List[int]]] = []
 
     def transaction(self, session: Optional[int] = None,
                     txn_id: Optional[int] = None) -> "HistoryBuilder._TxnHandle":
@@ -222,7 +260,6 @@ class HistoryBuilder:
 
     def version_order(self, key: str, *txn_ids: int) -> "HistoryBuilder":
         """Declare the version order of ``key`` explicitly."""
-        self._pending_orders = getattr(self, "_pending_orders", [])
         self._pending_orders.append((key, list(txn_ids)))
         return self
 
@@ -235,7 +272,7 @@ class HistoryBuilder:
         history = History()
         for handle in self._handles:
             history.add_transaction(handle._transaction)
-        for key, txn_ids in getattr(self, "_pending_orders", []):
+        for key, txn_ids in self._pending_orders:
             history.set_version_order(key, txn_ids)
         return history
 

@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.adya.graphs import RW, SESSION, WR, WW, build_dsg, cycles_with
 from repro.adya.history import History, HistoryTransaction, INITIAL
+from repro.errors import TaxonomyError
 
 G0 = "G0"
 G1A = "G1a"
@@ -207,11 +208,6 @@ def detect_pmp(history: History) -> List[Witness]:
     """Predicate-Many-Preceders: overlapping predicate reads saw different sets."""
     witnesses = []
     for transaction in history.committed():
-        by_predicate: Dict[str, List[frozenset]] = {}
-        for read in transaction.reads:
-            if read.predicate is None:
-                continue
-            by_predicate.setdefault(read.predicate, [])
         # Group observed writer sets per predicate evaluation: reads carrying
         # the same predicate and the same index belong to one evaluation.
         evaluations: Dict[str, Dict[int, set]] = {}
@@ -440,9 +436,8 @@ PHENOMENA: Dict[str, Phenomenon] = {
 
 def detect(history: History, phenomenon: str) -> List[Witness]:
     """Run one named detector against a history."""
-    try:
-        return PHENOMENA[phenomenon].detect(history)
-    except KeyError:
-        raise KeyError(
+    if phenomenon not in PHENOMENA:
+        raise TaxonomyError(
             f"unknown phenomenon {phenomenon!r}; expected one of {sorted(PHENOMENA)}"
-        ) from None
+        )
+    return PHENOMENA[phenomenon].detect(history)

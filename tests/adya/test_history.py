@@ -50,6 +50,33 @@ class TestHistory:
         with pytest.raises(IsolationError):
             history.set_version_order("x", [99])
 
+    @pytest.mark.parametrize("order", [
+        [1, 1],     # duplicate id: no defined position
+        [1, 2, 3],  # T3 never wrote x
+        [1, 4],     # T4 aborted
+    ], ids=["duplicate", "non-writer", "aborted"])
+    def test_malformed_version_order_rejected(self, order):
+        history = History()
+        history.add_transaction(HistoryTransaction(txn_id=1, writes=[WriteEvent("x", 1)]))
+        history.add_transaction(HistoryTransaction(txn_id=2, writes=[WriteEvent("x", 2)]))
+        history.add_transaction(HistoryTransaction(txn_id=3, writes=[WriteEvent("y", 3)]))
+        history.add_transaction(HistoryTransaction(txn_id=4, committed=False,
+                                                   writes=[WriteEvent("x", 4)]))
+        with pytest.raises(IsolationError):
+            history.set_version_order("x", order)
+        assert history.version_order["x"] == [1, 2]
+
+    def test_positions_follow_mutations(self):
+        history = History()
+        history.add_transaction(HistoryTransaction(txn_id=1, writes=[WriteEvent("x", 1)]))
+        assert history.next_writer("x", 1) is None
+        history.add_transaction(HistoryTransaction(txn_id=2, writes=[WriteEvent("x", 2)]))
+        assert history.next_writer("x", 1) == 2
+        history.set_version_order("x", [2, 1])
+        assert history.version_position("x", 1) == 1
+        assert history.next_writer("x", 2) == 1
+        assert history.next_writer("x", 1) is None
+
     def test_sessions_grouped_in_commit_order(self):
         history = History()
         history.add_transaction(HistoryTransaction(txn_id=5, session_id=1))

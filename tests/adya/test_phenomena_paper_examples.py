@@ -5,6 +5,8 @@ figures of Appendix A and asserts that exactly the intended anomaly is
 detected (and that the corresponding isolation level flags it).
 """
 
+import pytest
+
 from repro.adya.history import HistoryBuilder
 from repro.adya.levels import check_history
 from repro.adya.phenomena import (
@@ -20,6 +22,13 @@ from repro.adya.phenomena import (
     WRITE_SKEW,
     detect,
 )
+from repro.errors import ReproError, TaxonomyError
+
+
+def test_unknown_phenomenon_rejected():
+    with pytest.raises(TaxonomyError) as raised:
+        detect(HistoryBuilder().build(), "nope")
+    assert isinstance(raised.value, ReproError)
 
 
 class TestDirtyReadExamples:
